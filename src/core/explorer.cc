@@ -323,8 +323,8 @@ void validate_sweep_inputs(const std::vector<CorpusApp>& corpus,
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     for (std::size_t j = i + 1; j < corpus.size(); ++j) {
       require(corpus[i].name != corpus[j].name,
-              "sweep_design_space: duplicate corpus app name '" +
-                  corpus[i].name + "'");
+              "sweep_design_space: duplicate corpus app name '",
+              corpus[i].name, "'");
     }
   }
 }
@@ -489,33 +489,42 @@ void finalize_sweep_summary(SweepSummary& summary,
   // cell. The platform-cost axis folds in the per-cell floorplan charge
   // (zero under the additive cost model, so pre-v3 fronts are
   // unchanged): a cheaper chip that forces expensive module placement
-  // should not dominate a costlier one that does not.
-  auto dominates = [](const SweepCell& b, const SweepCell& a) {
-    const double b_cost = b.platform_cost + b.report.floorplan_cost;
-    const double a_cost = a.platform_cost + a.report.floorplan_cost;
-    const bool no_worse = b.report.final_cycles <= a.report.final_cycles &&
-                          b.report.moved.size() <= a.report.moved.size() &&
-                          b_cost <= a_cost &&
-                          b.report.energy.total_pj() <=
-                              a.report.energy.total_pj();
-    const bool better = b.report.final_cycles < a.report.final_cycles ||
-                        b.report.moved.size() < a.report.moved.size() ||
-                        b_cost < a_cost ||
-                        b.report.energy.total_pj() <
-                            a.report.energy.total_pj();
+  // should not dominate a costlier one that does not. The axes and the
+  // app are read once per cell into a contiguous vector, so the O(n^2)
+  // dominance scan touches no SweepCell.
+  struct ParetoKey {
+    std::int64_t cycles;
+    std::size_t moved;
+    double cost;
+    double energy;
+    std::size_t app;
+  };
+  std::vector<ParetoKey> keys;
+  keys.reserve(summary.cells.size());
+  for (const SweepCell& cell : summary.cells) {
+    keys.push_back({cell.report.final_cycles, cell.report.moved.size(),
+                    cell.platform_cost + cell.report.floorplan_cost,
+                    cell.report.energy.total_pj(), cell.app});
+  }
+  auto dominates = [](const ParetoKey& b, const ParetoKey& a) {
+    const bool no_worse = b.cycles <= a.cycles && b.moved <= a.moved &&
+                          b.cost <= a.cost && b.energy <= a.energy;
+    const bool better = b.cycles < a.cycles || b.moved < a.moved ||
+                        b.cost < a.cost || b.energy < a.energy;
     return no_worse && better;
   };
   summary.app_pareto.resize(summary.apps.size());
-  for (std::size_t i = 0; i < summary.cells.size(); ++i) {
-    SweepCell& cell = summary.cells[i];
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const ParetoKey& key = keys[i];
     bool app_dominated = false;
     bool global_dominated = false;
-    for (const SweepCell& other : summary.cells) {
-      if (&other == &cell || !dominates(other, cell)) continue;
+    for (std::size_t j = 0; j < keys.size(); ++j) {
+      if (j == i || !dominates(keys[j], key)) continue;
       global_dominated = true;
-      app_dominated = app_dominated || other.app == cell.app;
+      app_dominated = app_dominated || keys[j].app == key.app;
       if (app_dominated) break;
     }
+    SweepCell& cell = summary.cells[i];
     if (!app_dominated) {
       cell.on_app_pareto = true;
       summary.app_pareto[cell.app].push_back(i);

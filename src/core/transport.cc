@@ -61,7 +61,8 @@ void set_cloexec(int fd) {
 
 /// Both concrete channels: a non-blocking read fd plus, for sockets, the
 /// same fd writable. `pid` >= 0 marks a forked worker the channel must
-/// reap (or SIGKILL on early destruction).
+/// reap (or SIGKILL on early destruction). The worker leads its own
+/// process group, so the kill reaches whatever it spawned too.
 class FdChannel : public WorkerChannel {
  public:
   FdChannel(int fd, pid_t pid, bool reassignable, std::string name)
@@ -74,8 +75,9 @@ class FdChannel : public WorkerChannel {
   ~FdChannel() override {
     if (pid_ >= 0 && !reaped_) {
       // An unfinished forked worker is being retired (idle timeout or
-      // failed run): make sure it dies before we wait on it.
-      ::kill(pid_, SIGKILL);
+      // failed run): make sure it and its descendants (a wrapper shell's
+      // children, an ssh session) die before we wait on it.
+      if (::kill(-pid_, SIGKILL) != 0) ::kill(pid_, SIGKILL);
       reap();
     }
     if (fd_ >= 0) ::close(fd_);
@@ -183,6 +185,7 @@ std::unique_ptr<WorkerChannel> ForkPipeTransport::open_worker(
   const pid_t pid = ::fork();
   require(pid >= 0, "ForkPipeTransport: fork failed");
   if (pid == 0) {
+    ::setpgid(0, 0);    // its own group: retirement kills the whole tree
     ::dup2(fds[1], 1);  // the wire protocol is the child's stdout
     ::close(fds[0]);
     ::close(fds[1]);
@@ -196,6 +199,10 @@ std::unique_ptr<WorkerChannel> ForkPipeTransport::open_worker(
     std::fprintf(stderr, "amdrelc serve: cannot exec %s\n", argv[0]);
     ::_exit(127);
   }
+  // Also set from this side, so the group exists before open_worker
+  // returns whichever process runs first (EACCES once the child has
+  // exec'd means it already did so itself).
+  ::setpgid(pid, pid);
   ::close(fds[1]);
   const int index = spawned_++;
   return std::make_unique<FdChannel>(

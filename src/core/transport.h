@@ -18,8 +18,9 @@ namespace amdrel::core {
 //   WorkerChannel — one connected worker: a pollable fd, a non-blocking
 //   line reader, and (for bidirectional transports) a line writer. The
 //   channel owns the worker's lifetime: destroying an unfinished channel
-//   forcibly terminates a forked worker (SIGKILL + reap) or drops a
-//   socket — the coordinator's idle-timeout retirement path.
+//   forcibly terminates a forked worker and every process in its group
+//   (SIGKILL + reap) or drops a socket — the coordinator's idle-timeout
+//   retirement path.
 //
 //   Transport — a factory of channels. ForkPipeTransport reproduces the
 //   pre-Transport behavior byte-for-byte: fork/exec a worker process
@@ -97,7 +98,8 @@ using WorkerCommandFn =
 /// Local fork/exec transport: one-directional pipe from the worker's
 /// stdout, byte-for-byte the pre-Transport serve behavior. Retry support
 /// comes from respawning (open_worker with the unfinished shards), not
-/// reassignment.
+/// reassignment. Each worker leads its own process group, so retiring it
+/// also kills what it spawned (a wrapper shell's children).
 class ForkPipeTransport : public Transport {
  public:
   explicit ForkPipeTransport(WorkerCommandFn command);

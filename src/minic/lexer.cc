@@ -143,8 +143,8 @@ class Lexer {
         advance();
         advance();
         while (!(peek() == '*' && peek(1) == '/')) {
-          require(!at_end(), cat("lexer: unterminated block comment at line ",
-                                 start.line));
+          require(!at_end(), "lexer: unterminated block comment at line ",
+                  start.line);
           advance();
         }
         advance();
@@ -177,8 +177,7 @@ class Lexer {
              std::isxdigit(static_cast<unsigned char>(peek()))) {
         text.push_back(advance());
       }
-      require(!text.empty(),
-              cat("lexer: bad hex literal at line ", token.loc.line));
+      require(!text.empty(), "lexer: bad hex literal at line ", token.loc.line);
     } else {
       while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) {
         text.push_back(advance());
@@ -189,8 +188,8 @@ class Lexer {
     token.int_value = std::stoll(text, nullptr, base);
     token.text = std::move(text);
     require(token.int_value <= 0x7fffffffLL,
-            cat("lexer: integer literal out of 32-bit range at line ",
-                token.loc.line));
+            "lexer: integer literal out of 32-bit range at line ",
+            token.loc.line);
   }
 
   void lex_operator(Token& token) {

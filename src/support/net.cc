@@ -103,9 +103,10 @@ sockaddr_in resolve_ipv4(const std::string& host, int port,
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
   addrinfo* result = nullptr;
-  require(::getaddrinfo(host.c_str(), nullptr, &hints, &result) == 0 &&
-              result != nullptr,
-          cat(what, ": cannot resolve host \"", host, "\""));
+  const bool resolved =
+      ::getaddrinfo(host.c_str(), nullptr, &hints, &result) == 0 &&
+      result != nullptr;
+  require(resolved, what, ": cannot resolve host \"", host, "\"");
   addr.sin_addr =
       reinterpret_cast<const sockaddr_in*>(result->ai_addr)->sin_addr;
   ::freeaddrinfo(result);
@@ -120,12 +121,15 @@ Socket listen_tcp(const std::string& host, int port) {
   const int one = 1;
   ::setsockopt(sock.fd(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
   sockaddr_in addr = resolve_ipv4(host, port, "listen_tcp");
-  require(::bind(sock.fd(), reinterpret_cast<const sockaddr*>(&addr),
-                 sizeof addr) == 0,
-          cat("listen_tcp: cannot bind ", host.empty() ? "*" : host, ":",
-              port, " (", std::strerror(errno), ")"));
-  require(::listen(sock.fd(), 64) == 0,
-          cat("listen_tcp: listen failed (", std::strerror(errno), ")"));
+  // Each call's result is taken before strerror(errno) is evaluated:
+  // require's arguments are evaluated in unspecified order.
+  const bool bound =
+      ::bind(sock.fd(), reinterpret_cast<const sockaddr*>(&addr),
+             sizeof addr) == 0;
+  require(bound, "listen_tcp: cannot bind ", host.empty() ? "*" : host, ":",
+          port, " (", std::strerror(errno), ")");
+  const bool listening = ::listen(sock.fd(), 64) == 0;
+  require(listening, "listen_tcp: listen failed (", std::strerror(errno), ")");
   return sock;
 }
 
@@ -147,8 +151,7 @@ std::optional<Socket> accept_tcp(const Socket& listener, int timeout_ms) {
     if (ready == 0) return std::nullopt;
     const int fd = ::accept(listener.fd(), nullptr, nullptr);
     if (fd < 0 && (errno == EINTR || errno == ECONNABORTED)) continue;
-    require(fd >= 0, cat("accept_tcp: accept failed (", std::strerror(errno),
-                         ")"));
+    require(fd >= 0, "accept_tcp: accept failed (", std::strerror(errno), ")");
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     return Socket(fd);
@@ -171,10 +174,10 @@ Socket connect_tcp(const std::string& host, int port, int timeout_ms) {
     }
     const int error = errno;
     require(error == ECONNREFUSED || error == EINTR || error == ETIMEDOUT,
-            cat("connect_tcp: cannot connect ", target, ":", port, " (",
-                std::strerror(error), ")"));
+            "connect_tcp: cannot connect ", target, ":", port, " (",
+            std::strerror(error), ")");
     require(std::chrono::steady_clock::now() < deadline,
-            cat("connect_tcp: timed out connecting ", target, ":", port));
+            "connect_tcp: timed out connecting ", target, ":", port);
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 }

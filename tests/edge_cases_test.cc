@@ -1,6 +1,8 @@
 // Edge cases across the stack: front-end corner semantics, CDFG analysis
 // on awkward graphs, engine flags, and error paths.
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "core/baselines.h"
@@ -252,6 +254,36 @@ TEST(EngineEdgeCases, AllCoarseBeatsAllFineOnPaperApps) {
 }
 
 // ---- error paths ----------------------------------------------------------
+
+// A message part that counts how often it is formatted.
+struct CountingPart {
+  int* formatted;
+};
+
+std::ostream& operator<<(std::ostream& os, const CountingPart& part) {
+  ++*part.formatted;
+  return os << "<part>";
+}
+
+TEST(ErrorPaths, RequireFormatsItsMessageOnlyOnFailure) {
+  int formatted = 0;
+  for (int i = 0; i < 1000; ++i) {
+    require(i >= 0, "never shown ", CountingPart{&formatted}, i);
+  }
+  EXPECT_EQ(formatted, 0);
+
+  const std::string name = "fir";
+  try {
+    require(false, "bad id ", 42, " of '", name, "' ",
+            CountingPart{&formatted}, ' ', 2.5);
+    FAIL() << "require(false, ...) returned";
+  } catch (const Error& e) {
+    EXPECT_EQ(formatted, 1);
+    EXPECT_EQ(e.what(), cat("bad id ", 42, " of '", name, "' ",
+                            CountingPart{&formatted}, ' ', 2.5));
+  }
+  EXPECT_THROW(require(false, "literal only"), Error);
+}
 
 TEST(ErrorPaths, InterpreterRejectsUnknownArrays) {
   interp::Interpreter interp(minic::compile("int main() { return 0; }"));

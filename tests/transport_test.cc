@@ -7,9 +7,13 @@
 #include "core/transport.h"
 
 #ifndef _WIN32
+#include <csignal>
+#include <sys/types.h>
 #include <unistd.h>
 #endif
 
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -59,6 +63,26 @@ TEST(TransportTest, PartitionShardsWithZeroShards) {
 }
 
 #ifndef _WIN32
+
+// True once `pid` has exited: no such process, or a zombie waiting for
+// its new parent (init) to reap it. Polls for up to five seconds.
+bool process_exits(pid_t pid) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  do {
+    if (::kill(pid, 0) != 0 && errno == ESRCH) return true;
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string text;
+    std::getline(stat, text);
+    const std::size_t name_end = text.rfind(')');
+    if (name_end != std::string::npos && name_end + 2 < text.size() &&
+        text[name_end + 2] == 'Z') {
+      return true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  } while (std::chrono::steady_clock::now() < deadline);
+  return false;
+}
 
 // Shared scaffolding for the fork-transport fault tests: the expected
 // single-process summary, one pre-rendered full wire stream per shard,
@@ -146,11 +170,25 @@ TEST_F(ForkFaultTest, RecoversFromKilledWorker) {
 
 TEST_F(ForkFaultTest, RecoversFromIdleTimeout) {
   // The hung worker writes nothing; the 200ms idle timeout must declare
-  // it dead (and SIGKILL it — no 30s test stall) and retry its shard.
-  ForkPipeTransport transport = faulty_transport(0, "sleep 30");
+  // it dead and retry its shard. The worker is a wrapper shell whose
+  // child does the hanging: retiring the worker must SIGKILL its whole
+  // process group, so the child does not outlive serve_design_space
+  // (it would hold the test's stderr open for 30s).
+  const std::string pid_path = testing::TempDir() + "transport_sleeper_" +
+                               std::to_string(::getpid());
+  ForkPipeTransport transport = faulty_transport(
+      0, "sleep 30 & echo $! > '" + pid_path + "'; wait");
   const SweepSummary summary = serve_with(transport, /*idle_timeout_ms=*/200);
   EXPECT_EQ(sweep_to_json(summary), expected_json_);
   EXPECT_EQ(attempts_[0], 2);
+
+  pid_t sleeper = 0;
+  std::ifstream(pid_path) >> sleeper;
+  std::remove(pid_path.c_str());
+  ASSERT_GT(sleeper, 0) << "the wrapper never reported its child";
+  const bool exited = process_exits(sleeper);
+  if (!exited) ::kill(sleeper, SIGKILL);
+  EXPECT_TRUE(exited) << "pid " << sleeper << " outlived its worker";
 }
 
 TEST_F(ForkFaultTest, FailsLoudlyWhenRetriesAreExhausted) {
