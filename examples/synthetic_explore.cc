@@ -1,8 +1,8 @@
 // Design-space exploration on synthetic applications: sweeps the FPGA
 // area and the CGC data-path size over randomly generated loop-nest
-// CDFGs, then runs the multi-threaded DesignSpaceExplorer over the
-// constraint x strategy x ordering grid — the experiments to run before
-// committing to a platform configuration.
+// CDFGs, then runs the multi-threaded sweep over the constraint x
+// strategy x ordering grid — the experiments to run before committing to
+// a platform configuration.
 
 #include <cstdio>
 
@@ -74,16 +74,20 @@ int main() {
               optimal.subsets_evaluated);
 
   // Full design-space exploration: constraints x strategies x orderings
-  // on a thread pool, Pareto front over (final cycles, kernels moved).
-  // Constraints are left empty, so the explorer sweeps 1/4, 1/2 and 3/4
-  // of the all-fine-grain cycles.
-  core::ExploreSpec spec;
+  // for this one app on the 1500-area, 2-CGC platform (the sweep's
+  // default 1x1 grid), Pareto front over (final cycles, kernels moved,
+  // platform cost, energy). Constraints are left empty, so the sweep
+  // covers 1/4, 1/2 and 3/4 of the all-fine-grain cycles.
+  std::vector<core::CorpusApp> corpus(1);
+  corpus[0].name = "synthetic";
+  corpus[0].cdfg = app.cdfg;
+  corpus[0].profile = app.profile;
+  core::SweepSpec spec;
   spec.orderings = {core::KernelOrdering::kWeightDescending,
                     core::KernelOrdering::kBenefitDescending};
   spec.threads = 4;
-  const auto summary =
-      core::explore_design_space(app.cdfg, app.profile, p, spec);
-  std::printf("\nexplorer sweep (%zu grid points, 4 threads):\n%s",
-              summary.points.size(), core::describe(summary).c_str());
+  const auto summary = core::sweep_design_space(corpus, spec);
+  std::printf("\nexplorer sweep (%zu grid points):\n%s",
+              summary.cells.size(), core::describe(summary).c_str());
   return 0;
 }

@@ -4,8 +4,12 @@
 #include <atomic>
 #include <cctype>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <iterator>
+#include <mutex>
+#include <numeric>
 #include <sstream>
 #include <thread>
 
@@ -17,54 +21,6 @@
 namespace amdrel::core {
 
 namespace {
-
-/// Builds a (cdfg, platform) mapper through the cache's snapshot memo:
-/// a hit restores the fine-grain mapping in O(blocks) copies, a miss
-/// cold-builds and publishes the snapshot for the other workers. Without
-/// a cache this is a plain construction.
-HybridMapper make_mapper(SweepCache* cache, const Fingerprint& shard,
-                         const ir::Cdfg& cdfg,
-                         const platform::Platform& platform) {
-  if (cache) {
-    if (const std::shared_ptr<const MapperState> state =
-            cache->find_mapper(shard)) {
-      return HybridMapper(cdfg, platform, *state);
-    }
-    HybridMapper mapper(cdfg, platform);
-    cache->store_mapper(shard,
-                        std::make_shared<MapperState>(mapper.state()));
-    return mapper;
-  }
-  return HybridMapper(cdfg, platform);
-}
-
-/// All-fine-grain cycles of one (app, platform) pair, memoized so the
-/// default-constraint fractions resolve on a warm cache without touching
-/// a mapper at all.
-std::int64_t memoized_all_fine(SweepCache* cache, const Fingerprint& shard,
-                               const ir::Cdfg& cdfg,
-                               const ir::ProfileData& profile,
-                               const platform::Platform& platform) {
-  if (cache) {
-    if (const std::optional<std::int64_t> hit = cache->find_all_fine(shard)) {
-      return *hit;
-    }
-  }
-  const std::int64_t all_fine =
-      make_mapper(cache, shard, cdfg, platform).all_fine_cycles(profile);
-  if (cache) cache->store_all_fine(shard, all_fine);
-  return all_fine;
-}
-
-std::vector<std::string> moved_block_names(const ir::Cdfg& cdfg,
-                                           const PartitionReport& report) {
-  std::vector<std::string> names;
-  names.reserve(report.moved.size());
-  for (const ir::BlockId block : report.moved) {
-    names.push_back(cdfg.block(block).name);
-  }
-  return names;
-}
 
 /// The default constraint axis: the paper's quarter points of the
 /// all-fine-grain cycle count. For tiny apps the integer divisions can
@@ -87,159 +43,6 @@ std::vector<std::int64_t> default_constraints(std::int64_t all_fine) {
 }
 
 }  // namespace
-
-ExploreSummary explore_design_space(const ir::Cdfg& cdfg,
-                                    const ir::ProfileData& profile,
-                                    const platform::Platform& platform,
-                                    const ExploreSpec& spec) {
-  require(!spec.strategies.empty() && !spec.orderings.empty(),
-          "explore_design_space: empty strategy/ordering grid");
-
-  SweepCache* cache = spec.cache;
-  Fingerprint app_fp;
-  Fingerprint platform_fp;
-  Fingerprint shard;
-  if (cache) {
-    app_fp = app_fingerprint(cdfg, profile);
-    platform_fp = fingerprint(platform);
-    shard = shard_key(app_fp, platform_fp);
-  }
-
-  std::vector<std::int64_t> constraints = spec.constraints;
-  if (constraints.empty()) {
-    const std::int64_t all_fine =
-        cache ? memoized_all_fine(cache, shard, cdfg, profile, platform)
-              : HybridMapper(cdfg, platform).all_fine_cycles(profile);
-    constraints = default_constraints(all_fine);
-  }
-  const std::vector<double> budgets =
-      spec.energy_budgets.empty()
-          ? std::vector<double>{spec.base.cost.energy_budget_pj}
-          : spec.energy_budgets;
-
-  ExploreSummary summary;
-  for (const std::int64_t constraint : constraints) {
-    for (const double budget : budgets) {
-      for (const StrategyKind strategy : spec.strategies) {
-        for (const KernelOrdering ordering : spec.orderings) {
-          ExplorePoint point;
-          point.constraint = constraint;
-          point.energy_budget_pj = budget;
-          point.strategy = strategy;
-          point.ordering = ordering;
-          summary.points.push_back(point);
-        }
-      }
-    }
-  }
-
-  // One job per (strategy, ordering) pair: those two pick the walk, and
-  // the whole constraints x budgets axis of that walk is priced in one
-  // run_methodology_axis call (a shared walk for greedy/annealing, a
-  // per-cell search for exhaustive). Cached cells are filtered out
-  // first so a warm axis never touches a mapper.
-  const std::size_t strategy_count = spec.strategies.size();
-  const std::size_t ordering_count = spec.orderings.size();
-  const std::size_t jobs = strategy_count * ordering_count;
-  const int threads = worker_count(jobs, spec.threads);
-
-  // Each worker owns one mapper for the (cdfg, platform) pair — built
-  // lazily on its first cache miss (or first job, uncached) and reused
-  // across every job it claims; runs are independent and written to
-  // their own slot, so scheduling cannot change the output.
-  std::atomic<std::size_t> next{0};
-  auto worker = [&]() {
-    std::optional<HybridMapper> mapper;
-    auto ensure_mapper = [&]() -> HybridMapper& {
-      if (!mapper) mapper.emplace(make_mapper(cache, shard, cdfg, platform));
-      return *mapper;
-    };
-    for (;;) {
-      const std::size_t job = next.fetch_add(1);
-      if (job >= jobs) break;
-      MethodologyOptions options = spec.base;
-      options.strategy = spec.strategies[job / ordering_count];
-      options.ordering = spec.orderings[job % ordering_count];
-      std::vector<std::size_t> missed;
-      std::vector<AxisCell> axis;
-      for (std::size_t ci = 0; ci < constraints.size(); ++ci) {
-        for (std::size_t bi = 0; bi < budgets.size(); ++bi) {
-          const std::size_t index =
-              ((ci * budgets.size() + bi) * strategy_count +
-               job / ordering_count) *
-                  ordering_count +
-              job % ordering_count;
-          ExplorePoint& point = summary.points[index];
-          if (cache) {
-            options.cost.energy_budget_pj = point.energy_budget_pj;
-            const Fingerprint key =
-                cell_key(app_fp, platform_fp, options, point.constraint);
-            if (const std::optional<CachedCell> hit = cache->find_cell(key)) {
-              point.report = hit->report;
-              continue;
-            }
-          }
-          missed.push_back(index);
-          axis.push_back({point.constraint, point.energy_budget_pj});
-        }
-      }
-      if (missed.empty()) continue;
-      const std::vector<PartitionReport> reports =
-          run_methodology_axis(ensure_mapper(), profile, axis, options);
-      for (std::size_t m = 0; m < missed.size(); ++m) {
-        ExplorePoint& point = summary.points[missed[m]];
-        point.report = reports[m];
-        if (cache) {
-          options.cost.energy_budget_pj = point.energy_budget_pj;
-          CachedCell cell;
-          cell.report = point.report;
-          cell.moved_names = moved_block_names(cdfg, point.report);
-          cache->store_cell(
-              cell_key(app_fp, platform_fp, options, point.constraint),
-              std::move(cell));
-        }
-      }
-    }
-    // Republish the snapshot with the coarse schedules accumulated while
-    // working, so later restores skip the lazy CGC mapping too.
-    if (cache && mapper) {
-      cache->store_mapper(shard,
-                          std::make_shared<MapperState>(mapper->state()));
-    }
-  };
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
-  // Pareto front over (final cycles, kernels moved, energy pJ), all
-  // minimized. A point is dominated when another is no worse on every
-  // axis and strictly better on one.
-  for (std::size_t i = 0; i < summary.points.size(); ++i) {
-    const PartitionReport& a = summary.points[i].report;
-    bool dominated = false;
-    for (std::size_t j = 0; j < summary.points.size() && !dominated; ++j) {
-      if (i == j) continue;
-      const PartitionReport& b = summary.points[j].report;
-      const bool no_worse = b.final_cycles <= a.final_cycles &&
-                            b.moved.size() <= a.moved.size() &&
-                            b.energy.total_pj() <= a.energy.total_pj();
-      const bool better = b.final_cycles < a.final_cycles ||
-                          b.moved.size() < a.moved.size() ||
-                          b.energy.total_pj() < a.energy.total_pj();
-      dominated = no_worse && better;
-    }
-    if (!dominated) {
-      summary.points[i].on_pareto_front = true;
-      summary.pareto.push_back(i);
-    }
-  }
-  return summary;
-}
 
 int worker_count(std::size_t jobs, int requested) {
   int threads = requested > 0
@@ -339,25 +142,32 @@ std::vector<Fingerprint> sweep_app_fingerprints(
   return app_fps;
 }
 
+ShardLayout shard_layout(const SweepSpec& spec, std::size_t shard) {
+  const std::size_t platform_index = shard % spec.grid.size();
+  ShardLayout layout;
+  layout.app = shard / spec.grid.size();
+  layout.a_fpga =
+      spec.grid.areas[platform_index / spec.grid.cgc_counts.size()];
+  layout.cgcs =
+      spec.grid.cgc_counts[platform_index % spec.grid.cgc_counts.size()];
+  layout.platform = platform::make_paper_platform(layout.a_fpga, layout.cgcs);
+  layout.platform_cost = platform::platform_cost(layout.platform);
+  layout.budgets = spec.energy_budgets.empty()
+                       ? std::vector<double>{spec.base.cost.energy_budget_pj}
+                       : spec.energy_budgets;
+  return layout;
+}
+
 std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
                                 const SweepSpec& spec,
                                 const std::vector<Fingerprint>& app_fps,
                                 std::size_t shard, SweepCell* slots) {
   SweepCache* cache = spec.cache;
-  const std::vector<double> budgets =
-      spec.energy_budgets.empty()
-          ? std::vector<double>{spec.base.cost.energy_budget_pj}
-          : spec.energy_budgets;
-
-  const std::size_t app_index = shard / spec.grid.size();
-  const std::size_t platform_index = shard % spec.grid.size();
-  const double area =
-      spec.grid.areas[platform_index / spec.grid.cgc_counts.size()];
-  const int cgcs =
-      spec.grid.cgc_counts[platform_index % spec.grid.cgc_counts.size()];
+  const ShardLayout layout = shard_layout(spec, shard);
+  const std::vector<double>& budgets = layout.budgets;
+  const std::size_t app_index = layout.app;
   const CorpusApp& app = corpus[app_index];
-  const platform::Platform p = platform::make_paper_platform(area, cgcs);
-  const double cost = platform::platform_cost(p);
+  const platform::Platform& p = layout.platform;
 
   Fingerprint platform_fp;
   Fingerprint group_key;
@@ -368,11 +178,21 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
 
   // The mapper is built (or restored from a cached snapshot) only
   // when some cell of this group actually misses — a fully warm
-  // group costs zero mapper constructions.
+  // group costs zero mapper constructions. A snapshot hit restores the
+  // fine-grain mapping in O(blocks) copies; a cold build publishes its
+  // snapshot for the other workers.
   std::optional<HybridMapper> mapper;
   auto ensure_mapper = [&]() -> HybridMapper& {
-    if (!mapper) {
-      mapper.emplace(make_mapper(cache, group_key, app.cdfg, p));
+    if (mapper) return *mapper;
+    if (const std::shared_ptr<const MapperState> state =
+            cache ? cache->find_mapper(group_key) : nullptr) {
+      mapper.emplace(app.cdfg, p, *state);
+    } else {
+      mapper.emplace(app.cdfg, p);
+      if (cache) {
+        cache->store_mapper(group_key,
+                            std::make_shared<MapperState>(mapper->state()));
+      }
     }
     return *mapper;
   };
@@ -412,9 +232,9 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
               oi;
           SweepCell& cell = slots[index];
           cell.app = app_index;
-          cell.a_fpga = area;
-          cell.cgcs = cgcs;
-          cell.platform_cost = cost;
+          cell.a_fpga = layout.a_fpga;
+          cell.cgcs = layout.cgcs;
+          cell.platform_cost = layout.platform_cost;
           cell.constraint = constraints[ci];
           cell.energy_budget_pj = budgets[bi];
           cell.strategy = spec.strategies[si];
@@ -439,7 +259,10 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
       for (std::size_t m = 0; m < missed.size(); ++m) {
         SweepCell& cell = slots[missed[m]];
         cell.report = reports[m];
-        cell.moved_names = moved_block_names(app.cdfg, cell.report);
+        cell.moved_names.clear();
+        for (const ir::BlockId block : cell.report.moved) {
+          cell.moved_names.push_back(app.cdfg.block(block).name);
+        }
         if (cache) {
           options.cost.energy_budget_pj = cell.energy_budget_pj;
           CachedCell fresh;
@@ -459,6 +282,78 @@ std::size_t compute_sweep_shard(const std::vector<CorpusApp>& corpus,
                         std::make_shared<MapperState>(mapper->state()));
   }
   return used;
+}
+
+void run_shards_in_order(
+    const std::vector<CorpusApp>& corpus, const SweepSpec& spec,
+    const std::vector<Fingerprint>& app_fps,
+    const std::vector<std::size_t>& shards,
+    const std::function<SweepCell*(std::size_t)>& slots,
+    const std::function<void(std::size_t, std::size_t)>& done) {
+  const std::size_t n = shards.size();
+  const int threads = worker_count(n, spec.threads);
+  if (threads == 1) {
+    for (std::size_t i = 0; i < n; ++i) {
+      done(i, compute_sweep_shard(corpus, spec, app_fps, shards[i], slots(i)));
+    }
+    return;
+  }
+  // Threads claim shards in list order and write only their own slots;
+  // the calling thread hands each one to `done` once it and every
+  // earlier shard are finished, so scheduling cannot reorder anything.
+  // The first exception a shard or `done` raises stops further claims
+  // and is rethrown here once every thread has joined.
+  std::vector<std::size_t> used(n, 0);
+  std::atomic<std::size_t> next{0};
+  std::mutex mutex;  // guards finished, failure and awaited
+  std::vector<char> finished(n, 0);
+  std::exception_ptr failure;
+  // The shard the calling thread waits for: only its completion (or a
+  // failure) wakes that thread, so it does not preempt busy workers.
+  std::size_t awaited = 0;
+  std::condition_variable ready;
+  auto stop = [&](std::exception_ptr error) {  // called with mutex held
+    if (!failure) failure = std::move(error);
+    next = n;
+  };
+  auto worker = [&]() {
+    for (std::size_t i = next++; i < n; i = next++) {
+      std::exception_ptr error;
+      try {
+        used[i] =
+            compute_sweep_shard(corpus, spec, app_fps, shards[i], slots(i));
+      } catch (...) {
+        error = std::current_exception();
+      }
+      bool wake = false;
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        finished[i] = 1;
+        wake = i == awaited || error != nullptr;
+        if (error) stop(std::move(error));
+      }
+      if (wake) ready.notify_one();
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<std::size_t>(threads));
+  try {
+    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
+    for (std::size_t i = 0; i < n; ++i) {
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        awaited = i;
+        ready.wait(lock, [&] { return finished[i] != 0 || failure; });
+        if (failure) break;
+      }
+      done(i, used[i]);
+    }
+  } catch (...) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    stop(std::current_exception());
+  }
+  for (std::thread& t : pool) t.join();
+  if (failure) std::rethrow_exception(failure);
 }
 
 void finalize_sweep_summary(SweepSummary& summary,
@@ -561,61 +456,21 @@ SweepSummary sweep_design_space(const std::vector<CorpusApp>& corpus,
   const std::vector<Fingerprint> app_fps =
       spec.cache ? sweep_app_fingerprints(corpus) : std::vector<Fingerprint>{};
 
-  // Cells each shard actually filled (== cells_per_shard except when
-  // default constraints collapsed); each slot is written by exactly the
-  // worker that claimed the shard.
+  // Every shard, in order, computed straight into its own slot range.
+  // shard_used records the cells each shard actually filled
+  // (== cells_per_shard except when default constraints collapsed).
+  std::vector<std::size_t> order(shards);
+  std::iota(order.begin(), order.end(), std::size_t{0});
   std::vector<std::size_t> shard_used(shards, 0);
-
-  std::atomic<std::size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      const std::size_t shard = next.fetch_add(1);
-      if (shard >= shards) return;
-      shard_used[shard] =
-          compute_sweep_shard(corpus, spec, app_fps, shard,
-                              summary.cells.data() + shard * cells_per_shard);
-    }
-  };
-
-  const int threads = worker_count(shards, spec.threads);
-  if (threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
+  run_shards_in_order(
+      corpus, spec, app_fps, order,
+      [&](std::size_t shard) {
+        return summary.cells.data() + shard * cells_per_shard;
+      },
+      [&](std::size_t shard, std::size_t used) { shard_used[shard] = used; });
 
   finalize_sweep_summary(summary, shard_used, cells_per_shard);
   return summary;
-}
-
-std::string describe(const ExploreSummary& summary) {
-  TextTable table({"constraint", "strategy", "ordering", "moved",
-                   "final cycles", "% reduction", "energy nJ", "met",
-                   "pareto"});
-  for (const ExplorePoint& point : summary.points) {
-    char reduction[32];
-    std::snprintf(reduction, sizeof reduction, "%.1f",
-                  point.report.reduction_percent());
-    char energy[32];
-    std::snprintf(energy, sizeof energy, "%.1f",
-                  point.report.energy.total_pj() / 1000.0);
-    table.add_row({with_thousands(point.constraint),
-                   strategy_name(point.strategy),
-                   kernel_ordering_name(point.ordering),
-                   std::to_string(point.report.moved.size()),
-                   with_thousands(point.report.final_cycles), reduction,
-                   energy, point.report.met ? "yes" : "no",
-                   point.on_pareto_front ? "*" : ""});
-  }
-  std::ostringstream os;
-  os << table.to_string();
-  os << summary.pareto.size() << " of " << summary.points.size()
-     << " grid points on the pareto front "
-     << "(final cycles vs kernels moved vs energy)\n";
-  return os.str();
 }
 
 std::string describe(const SweepSummary& summary) {

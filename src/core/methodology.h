@@ -33,7 +33,7 @@ enum class StrategyKind {
 };
 
 /// Everything that defines WHAT a run optimizes and how movements are
-/// priced, grouped so run_methodology, explore, the sweep specs and the
+/// priced, grouped so run_methodology, the sweep spec and the
 /// fingerprints all consume one struct instead of re-plumbing each knob
 /// (the flag sprawl this replaces). A fourth pricing surface — the
 /// reconfiguration model — lands here rather than as loose fields.
@@ -58,7 +58,7 @@ struct MethodologyOptions {
   StrategyKind strategy = StrategyKind::kGreedyPaper;
   KernelOrdering ordering = KernelOrdering::kWeightDescending;
   /// Objective, budget and pricing model, consumed uniformly by every
-  /// entry point (run_methodology, explore, sweeps, fingerprints).
+  /// entry point (run_methodology, sweeps, fingerprints).
   ObjectiveSpec cost;
   std::uint64_t random_seed = 1;
   /// Stop as soon as the constraint is met (the paper's behaviour).
@@ -143,7 +143,7 @@ PartitionReport run_methodology(const ir::Cdfg& cdfg,
 
 /// Same flow on a caller-owned mapper, so sweeps over many constraints or
 /// strategies reuse one (cdfg, platform) mapping instead of re-mapping
-/// every block per run (the DesignSpaceExplorer's hot path).
+/// every block per run.
 PartitionReport run_methodology(HybridMapper& mapper,
                                 const ir::ProfileData& profile,
                                 std::int64_t timing_constraint_cycles,
@@ -156,8 +156,8 @@ PartitionReport run_methodology(HybridMapper& mapper,
 /// walk does not consult the constraint (greedy, annealing) price all
 /// cells from one shared walk via PartitionStrategy::run_axis. Each
 /// returned report is byte-identical to a standalone run_methodology
-/// with that cell's constraint and budget (the explorer's golden sweeps
-/// pin this). Cells already met by the all-fine solution early-exit
+/// with that cell's constraint and budget (tests/sweep_test.cc's
+/// SweepCrossCheck pins this). Cells already met by the all-fine solution early-exit
 /// with empty kernel lists, exactly like the single-cell flow.
 std::vector<PartitionReport> run_methodology_axis(
     HybridMapper& mapper, const ir::ProfileData& profile,

@@ -1,15 +1,11 @@
 #include "core/sweep_service.h"
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <iostream>
 #include <istream>
 #include <memory>
-#include <mutex>
 #include <ostream>
-#include <thread>
 #include <utility>
 
 #ifndef _WIN32
@@ -19,7 +15,6 @@
 
 #include "core/sweep_cache.h"
 #include "core/wire.h"
-#include "platform/platform.h"
 #include "support/error.h"
 #include "support/strings.h"
 
@@ -41,81 +36,43 @@ namespace {
 
 /// Computes `assigned` shards and streams them in assigned order —
 /// shared by the static and the connected worker. Honors spec.threads
-/// (shards are computed by a pool but emitted in order) with per-shard
-/// flush so a pipe/socket transport streams instead of buffering the
-/// whole run. `emitted_shards` counts across calls (rounds) for the
-/// after_shard hook.
+/// through run_shards_in_order, which hands each shard back in assigned
+/// order as soon as it and every earlier one are done; each is written
+/// and flushed at once, so a pipe/socket transport streams instead of
+/// buffering the whole run. `emitted_shards` counts across calls
+/// (rounds) for the after_shard hook.
 std::size_t emit_assigned_shards(const std::vector<CorpusApp>& corpus,
                                  const SweepSpec& spec,
                                  const std::vector<Fingerprint>& app_fps,
                                  const std::vector<std::size_t>& assigned,
-                                 std::size_t cells_per_shard, std::ostream& os,
+                                 std::ostream& os,
                                  const ShardEmitHook& after_shard,
                                  std::size_t& emitted_shards) {
+  const std::size_t cells_per_shard = sweep_cells_per_shard(spec);
   std::size_t total = 0;
-  auto emit = [&](std::size_t shard, const std::vector<SweepCell>& cells,
-                  std::size_t used) {
-    wire::encode_shard_begin(os, {shard, used});
-    for (std::size_t i = 0; i < used; ++i) {
-      wire::encode_cell(os, shard, i, cells[i].report, cells[i].moved_names);
-    }
-    os.flush();
-    total += used;
-    ++emitted_shards;
-    if (after_shard) after_shard(emitted_shards);
-  };
-
-  const int threads = worker_count(assigned.size(), spec.threads);
-  if (threads <= 1) {
-    for (const std::size_t shard : assigned) {
-      std::vector<SweepCell> cells(cells_per_shard);
-      const std::size_t used =
-          compute_sweep_shard(corpus, spec, app_fps, shard, cells.data());
-      emit(shard, cells, used);
-    }
-    return total;
-  }
-  // A pool computes shards in claim order, but the stream is emitted
-  // strictly in `assigned` order — same deterministic-output recipe as
-  // the single-process sweep's precomputed slots.
-  struct Pending {
-    std::vector<SweepCell> cells;
-    std::size_t used = 0;
-    bool done = false;
-  };
-  std::vector<Pending> pending(assigned.size());
-  std::mutex mutex;
-  std::condition_variable ready;
-  std::atomic<std::size_t> next{0};
-  auto pool_worker = [&]() {
-    for (;;) {
-      const std::size_t job = next.fetch_add(1);
-      if (job >= assigned.size()) return;
-      std::vector<SweepCell> cells(cells_per_shard);
-      const std::size_t used = compute_sweep_shard(corpus, spec, app_fps,
-                                                   assigned[job],
-                                                   cells.data());
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        pending[job].cells = std::move(cells);
-        pending[job].used = used;
-        pending[job].done = true;
-      }
-      ready.notify_all();
-    }
-  };
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads));
-  for (int t = 0; t < threads; ++t) pool.emplace_back(pool_worker);
-  for (std::size_t job = 0; job < assigned.size(); ++job) {
-    std::unique_lock<std::mutex> lock(mutex);
-    ready.wait(lock, [&] { return pending[job].done; });
-    const std::vector<SweepCell> cells = std::move(pending[job].cells);
-    const std::size_t used = pending[job].used;
-    lock.unlock();
-    emit(assigned[job], cells, used);
-  }
-  for (std::thread& t : pool) t.join();
+  // One buffer per assigned shard, allocated by the thread computing it
+  // and freed as soon as the shard is on the wire.
+  std::vector<std::vector<SweepCell>> buffers(assigned.size());
+  run_shards_in_order(
+      corpus, spec, app_fps, assigned,
+      [&](std::size_t i) {
+        buffers[i].resize(cells_per_shard);
+        return buffers[i].data();
+      },
+      [&](std::size_t i, std::size_t used) {
+        const std::size_t shard = assigned[i];
+        const std::vector<SweepCell>& cells = buffers[i];
+        wire::encode_shard_begin(os, {shard, used});
+        for (std::size_t c = 0; c < used; ++c) {
+          wire::encode_cell(os, shard, c, cells[c].report,
+                            cells[c].moved_names);
+        }
+        os.flush();
+        buffers[i] = std::vector<SweepCell>();
+        total += used;
+        ++emitted_shards;
+        if (after_shard) after_shard(emitted_shards);
+      });
   return total;
 }
 
@@ -137,7 +94,6 @@ std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,
                              const ShardEmitHook& after_shard) {
   validate_sweep_inputs(corpus, spec);
   const std::size_t shards = sweep_shard_count(corpus, spec);
-  const std::size_t cells_per_shard = sweep_cells_per_shard(spec);
   std::vector<char> claimed(shards, 0);
   for (const std::size_t shard : assigned) {
     require(shard < shards, "run_sweep_worker: shard ", shard,
@@ -150,9 +106,8 @@ std::size_t run_sweep_worker(const std::vector<CorpusApp>& corpus,
 
   wire::encode_header(os, local_header(shards));
   std::size_t emitted_shards = 0;
-  const std::size_t total =
-      emit_assigned_shards(corpus, spec, app_fps, assigned, cells_per_shard,
-                           os, after_shard, emitted_shards);
+  const std::size_t total = emit_assigned_shards(
+      corpus, spec, app_fps, assigned, os, after_shard, emitted_shards);
   wire::encode_worker_done(os, {total});
   os.flush();
   require(os.good(), "run_sweep_worker: stream write failed");
@@ -165,7 +120,6 @@ std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
                                        const ShardEmitHook& after_shard) {
   validate_sweep_inputs(corpus, spec);
   const std::size_t shards = sweep_shard_count(corpus, spec);
-  const std::size_t cells_per_shard = sweep_cells_per_shard(spec);
   const std::vector<Fingerprint> app_fps =
       spec.cache ? sweep_app_fingerprints(corpus) : std::vector<Fingerprint>{};
 
@@ -202,9 +156,8 @@ std::size_t run_sweep_worker_connected(const std::vector<CorpusApp>& corpus,
           computed[s] = 1;
         }
         const std::size_t round =
-            emit_assigned_shards(corpus, spec, app_fps, assign.shards,
-                                 cells_per_shard, out, after_shard,
-                                 emitted_shards);
+            emit_assigned_shards(corpus, spec, app_fps, assign.shards, out,
+                                 after_shard, emitted_shards);
         total += round;
         out << wire::encode_round_done({round});
         out.flush();
@@ -242,10 +195,6 @@ WorkerStreamConsumer::WorkerStreamConsumer(
           "consume_worker_stream: summary slot layout mismatch");
   require(shard_used.size() == shards_,
           "consume_worker_stream: shard_used size mismatch");
-  budgets_ = spec.energy_budgets.empty()
-                 ? std::vector<double>{spec.base.cost.energy_budget_pj}
-                 : spec.energy_budgets;
-  inner_ = budgets_.size() * spec.strategies.size() * spec.orderings.size();
 }
 
 void WorkerStreamConsumer::begin_round(
@@ -350,7 +299,13 @@ WorkerStreamConsumer::Event WorkerStreamConsumer::feed_shard(
           shard.shard, " was not assigned");
   require(consumed_.insert(shard.shard).second, "worker stream: shard ",
           shard.shard, " streamed twice");
-  require(shard.used <= cells_per_shard_ && shard.used % inner_ == 0,
+  // Coordinates derivable from the shard index are derived HERE, from
+  // the same layout the worker computed with — the wire cannot place a
+  // cell on a platform it was not computed for.
+  cur_layout_ = shard_layout(spec_, shard.shard);
+  const std::size_t inner = cur_layout_.budgets.size() *
+                            spec_.strategies.size() * spec_.orderings.size();
+  require(shard.used <= cells_per_shard_ && shard.used % inner == 0,
           "worker stream: shard ", shard.shard, " claims ", shard.used,
           " cells (capacity ", cells_per_shard_, ")");
   if (shard.used == 0) return complete_shard(shard.shard, 0);
@@ -371,31 +326,19 @@ WorkerStreamConsumer::Event WorkerStreamConsumer::feed_cell(
   require(cell.shard == cur_shard_ && cell.slot == cur_slot_, "worker stream:",
           line_no_, ": expected cell ", cur_slot_, " of shard ", cur_shard_);
 
-  // Coordinates derivable from the shard index are derived HERE, from
-  // the same inputs the single-process sweep uses — the wire cannot
-  // place a cell on a platform it was not computed for.
-  const std::size_t app_index = cur_shard_ / spec_.grid.size();
-  const std::size_t platform_index = cur_shard_ % spec_.grid.size();
-  const double area =
-      spec_.grid.areas[platform_index / spec_.grid.cgc_counts.size()];
-  const int cgcs =
-      spec_.grid.cgc_counts[platform_index % spec_.grid.cgc_counts.size()];
-  const double cost =
-      platform::platform_cost(platform::make_paper_platform(area, cgcs));
-
   const std::size_t ordering_count = spec_.orderings.size();
   const std::size_t strategy_count = spec_.strategies.size();
   const std::size_t oi = cur_slot_ % ordering_count;
   const std::size_t si = (cur_slot_ / ordering_count) % strategy_count;
-  const std::size_t bi =
-      (cur_slot_ / (ordering_count * strategy_count)) % budgets_.size();
+  const std::size_t bi = (cur_slot_ / (ordering_count * strategy_count)) %
+                         cur_layout_.budgets.size();
   SweepCell& dest = summary_.cells[cur_shard_ * cells_per_shard_ + cur_slot_];
-  dest.app = app_index;
-  dest.a_fpga = area;
-  dest.cgcs = cgcs;
-  dest.platform_cost = cost;
+  dest.app = cur_layout_.app;
+  dest.a_fpga = cur_layout_.a_fpga;
+  dest.cgcs = cur_layout_.cgcs;
+  dest.platform_cost = cur_layout_.platform_cost;
   dest.constraint = cell.payload.report.timing_constraint;
-  dest.energy_budget_pj = budgets_[bi];
+  dest.energy_budget_pj = cur_layout_.budgets[bi];
   dest.strategy = spec_.strategies[si];
   dest.ordering = spec_.orderings[oi];
   dest.report = std::move(cell.payload.report);

@@ -154,8 +154,6 @@ class WorkerStreamConsumer {
 
   std::size_t shards_ = 0;
   std::size_t cells_per_shard_ = 0;
-  std::vector<double> budgets_;
-  std::size_t inner_ = 0;
 
   bool header_seen_ = false;
   bool done_ = false;
@@ -171,6 +169,7 @@ class WorkerStreamConsumer {
   std::size_t cur_shard_ = 0;
   std::size_t cur_used_ = 0;
   std::size_t cur_slot_ = 0;
+  ShardLayout cur_layout_;  ///< of cur_shard_
   std::size_t last_shard_ = 0;
   std::size_t last_used_ = 0;
 };

@@ -62,7 +62,8 @@ void set_cloexec(int fd) {
 /// Both concrete channels: a non-blocking read fd plus, for sockets, the
 /// same fd writable. `pid` >= 0 marks a forked worker the channel must
 /// reap (or SIGKILL on early destruction). The worker leads its own
-/// process group, so the kill reaches whatever it spawned too.
+/// process group, so the kill reaches whatever it spawned too — whether
+/// the worker is retired early or exits on its own.
 class FdChannel : public WorkerChannel {
  public:
   FdChannel(int fd, pid_t pid, bool reassignable, std::string name)
@@ -77,7 +78,7 @@ class FdChannel : public WorkerChannel {
       // An unfinished forked worker is being retired (idle timeout or
       // failed run): make sure it and its descendants (a wrapper shell's
       // children, an ssh session) die before we wait on it.
-      if (::kill(-pid_, SIGKILL) != 0) ::kill(pid_, SIGKILL);
+      kill_group();
       reap();
     }
     if (fd_ >= 0) ::close(fd_);
@@ -138,12 +139,28 @@ class FdChannel : public WorkerChannel {
 
   bool finish() override {
     if (pid_ < 0) return true;
+    // Wait for the worker's own exit without reaping it: the zombie keeps
+    // the pid, and so the group id, from being reused while whatever the
+    // worker left running in its group is killed. Then reap, judging
+    // "clean" from the worker's own status.
+    if (!reaped_) {
+      siginfo_t info{};
+      while (::waitid(P_PID, static_cast<id_t>(pid_), &info,
+                      WEXITED | WNOWAIT) != 0 &&
+             errno == EINTR) {
+      }
+      kill_group();
+    }
     return reap();
   }
 
   const std::string& describe() const override { return name_; }
 
  private:
+  void kill_group() {
+    if (::kill(-pid_, SIGKILL) != 0) ::kill(pid_, SIGKILL);
+  }
+
   bool reap() {
     if (reaped_) return clean_;
     int status = 0;

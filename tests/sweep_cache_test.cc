@@ -42,6 +42,24 @@ SweepSpec small_spec(int threads, SweepCache* cache) {
   return spec;
 }
 
+// A single-(app, platform) exploration: the one-app OFDM corpus on a 1x1
+// grid at the OFDM timing constraint.
+std::vector<CorpusApp> ofdm_corpus() {
+  std::vector<CorpusApp> corpus = workloads::paper_corpus();
+  corpus.resize(1);
+  return corpus;
+}
+
+SweepSpec ofdm_spec(int threads, SweepCache* cache) {
+  SweepSpec spec;
+  spec.grid.areas = {1500};
+  spec.grid.cgc_counts = {2};
+  spec.constraints = {workloads::kOfdmTimingConstraint};
+  spec.threads = threads;
+  spec.cache = cache;
+  return spec;
+}
+
 std::string temp_path(const char* name) {
   return testing::TempDir() + name;
 }
@@ -94,27 +112,15 @@ TEST(SweepCacheTest, CachedSweepIsByteIdenticalToUncached) {
 }
 
 TEST(SweepCacheTest, ExplorerSharesTheCellAndMapperMemo) {
-  const auto app = workloads::build_ofdm_model();
-  const auto platform = platform::make_paper_platform(1500, 2);
-  SweepCache cache;
-  ExploreSpec spec;
-  spec.constraints = {workloads::kOfdmTimingConstraint};
-  spec.threads = 2;
-  spec.cache = &cache;
-
-  ExploreSpec uncached = spec;
-  uncached.cache = nullptr;
+  const auto corpus = ofdm_corpus();
   const std::string reference =
-      describe(explore_design_space(app.cdfg, app.profile, platform,
-                                    uncached));
-
-  const auto cold =
-      explore_design_space(app.cdfg, app.profile, platform, spec);
-  EXPECT_EQ(describe(cold), reference);
+      describe(sweep_design_space(corpus, ofdm_spec(2, nullptr)));
+  SweepCache cache;
+  EXPECT_EQ(describe(sweep_design_space(corpus, ofdm_spec(2, &cache))),
+            reference);
   cache.reset_stats();
-  const auto warm =
-      explore_design_space(app.cdfg, app.profile, platform, spec);
-  EXPECT_EQ(describe(warm), reference);
+  EXPECT_EQ(describe(sweep_design_space(corpus, ofdm_spec(2, &cache))),
+            reference);
   EXPECT_EQ(cache.stats().cell_misses, 0u);
   EXPECT_EQ(cache.stats().mapper_builds, 0u);
 }
@@ -277,17 +283,12 @@ TEST(SweepCacheTest, LoadRejectsCorruptFiles) {
 TEST(SweepCacheTest, LoadAcceptsOwnSave) {
   // A saved cache containing a cell with every serialized field must
   // round-trip exactly, including kernels and moved names.
-  const auto app = workloads::build_ofdm_model();
-  const auto platform = platform::make_paper_platform(1500, 2);
+  const auto corpus = ofdm_corpus();
   SweepCache cache;
-  ExploreSpec spec;
-  spec.constraints = {workloads::kOfdmTimingConstraint};
+  SweepSpec spec = ofdm_spec(1, &cache);
   spec.strategies = {StrategyKind::kGreedyPaper};
-  spec.threads = 1;
-  spec.cache = &cache;
-  const auto summary =
-      explore_design_space(app.cdfg, app.profile, platform, spec);
-  ASSERT_FALSE(summary.points.empty());
+  const SweepSummary summary = sweep_design_space(corpus, spec);
+  ASSERT_FALSE(summary.cells.empty());
 
   const std::string path = temp_path("sweep_cache_ownsave.jsonl");
   std::string error;
@@ -295,22 +296,15 @@ TEST(SweepCacheTest, LoadAcceptsOwnSave) {
   SweepCache fresh;
   ASSERT_TRUE(fresh.load(path, &error)) << error;
 
-  cache.reset_stats();
   fresh.reset_stats();
-  ExploreSpec warm_spec = spec;
-  warm_spec.cache = &fresh;
-  const auto warm =
-      explore_design_space(app.cdfg, app.profile, platform, warm_spec);
+  spec.cache = &fresh;
+  const SweepSummary warm = sweep_design_space(corpus, spec);
   EXPECT_EQ(describe(warm), describe(summary));
   EXPECT_EQ(fresh.stats().cell_misses, 0u);
 
   // The reloaded report matches the original field by field.
-  const PartitionReport& a = summary.points.front().report;
-  ExploreSpec replay = spec;
-  replay.cache = &fresh;
-  const ExploreSummary replayed =
-      explore_design_space(app.cdfg, app.profile, platform, replay);
-  const PartitionReport& b = replayed.points.front().report;
+  const PartitionReport& a = summary.cells.front().report;
+  const PartitionReport& b = warm.cells.front().report;
   EXPECT_EQ(a.app, b.app);
   EXPECT_EQ(a.timing_constraint, b.timing_constraint);
   EXPECT_EQ(a.initial_cycles, b.initial_cycles);

@@ -1,8 +1,9 @@
 // Platform-grid x corpus sweep: grid-spec parsing, cell enumeration
-// order, Pareto-front invariants, and the cross-check property that pins
-// the sharded sweep to the old semantics — every cell of a batched sweep
-// must be identical to an independent single-platform, single-app
-// DesignSpaceExplorer run.
+// order, Pareto-front invariants, single-(app, platform) explorations
+// (the one-app corpus on a 1x1 grid), and the cross-check property that
+// pins the sharded sweep to the methodology — every cell of a batched
+// sweep must be identical to a standalone run_methodology call with the
+// cell's constraint and options.
 
 #include "core/explorer.h"
 
@@ -24,6 +25,29 @@ namespace {
 
 using workloads::build_ofdm_model;
 using workloads::paper_corpus;
+
+// A one-block app that never executes: its all-fine cycle count is 0, so
+// the default 1/4, 1/2, 3/4 fractions all round down to 0.
+CorpusApp tiny_app() {
+  CorpusApp tiny;
+  tiny.name = "tiny";
+  tiny.cdfg = ir::Cdfg("tiny");
+  const ir::BlockId b = tiny.cdfg.add_block();
+  ir::Dfg& dfg = tiny.cdfg.block(b).dfg;
+  const ir::NodeId in = dfg.add_node(ir::OpKind::kInput);
+  const ir::NodeId sum = dfg.add_node(ir::OpKind::kAdd, {in, in});
+  dfg.add_node(ir::OpKind::kOutput, {sum});
+  tiny.cdfg.set_entry(b);
+  return tiny;
+}
+
+// The one-app OFDM corpus; with SweepSpec's default 1x1 grid (A_FPGA
+// 1500, 2 CGCs) a sweep over it is a single-(app, platform) exploration.
+std::vector<CorpusApp> ofdm_corpus() {
+  std::vector<CorpusApp> corpus = paper_corpus();
+  corpus.resize(1);
+  return corpus;
+}
 
 TEST(PlatformGridTest, ParsesAreasCrossCgcCounts) {
   const auto grid = parse_platform_grid("1500,5000x2,3");
@@ -100,8 +124,9 @@ TEST(SweepTest, CellOrderIsAppMajorThenPlatformThenEngineGrid) {
 }
 
 // The tentpole property: random platform grids, batched sweep vs the
-// standalone single-platform, single-app explorer — every cell must carry
-// the same report, rendered byte-identical.
+// documented reference for its axis walk — every cell must carry the
+// report a standalone run_methodology with the cell's constraint and
+// options produces, rendered byte-identical.
 class SweepCrossCheck : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SweepCrossCheck, CellsEqualStandaloneExplorerRuns) {
@@ -140,34 +165,42 @@ TEST_P(SweepCrossCheck, CellsEqualStandaloneExplorerRuns) {
 
   const auto summary = sweep_design_space(corpus, spec);
 
-  // Replay every (app, platform) group through the standalone explorer
-  // with an identical engine grid and compare cell by cell.
+  // Replay every cell through run_methodology, re-deriving the default
+  // constraint axis (1/4, 1/2, 3/4 of all-fine) from the mapper.
   std::size_t index = 0;
   for (const CorpusApp& app : corpus) {
     for (const double area : spec.grid.areas) {
       for (const int cgcs : spec.grid.cgc_counts) {
         const auto p = platform::make_paper_platform(area, cgcs);
-        ExploreSpec standalone;
-        standalone.constraints = spec.constraints;
-        standalone.strategies = spec.strategies;
-        standalone.orderings = spec.orderings;
-        standalone.base = spec.base;
-        standalone.threads = 1;
-        const auto expected =
-            explore_design_space(app.cdfg, app.profile, p, standalone);
-        for (const ExplorePoint& point : expected.points) {
-          const SweepCell& cell = summary.cells[index++];
-          EXPECT_EQ(cell.constraint, point.constraint);
-          EXPECT_EQ(cell.strategy, point.strategy);
-          EXPECT_EQ(cell.ordering, point.ordering);
-          EXPECT_EQ(cell.report.moved, point.report.moved);
-          EXPECT_EQ(cell.report.final_cycles, point.report.final_cycles);
-          EXPECT_EQ(cell.report.met, point.report.met);
-          EXPECT_EQ(cell.report.engine_iterations,
-                    point.report.engine_iterations);
-          // Byte-identical when rendered through the same report path.
-          EXPECT_EQ(describe(cell.report, app.cdfg),
-                    describe(point.report, app.cdfg));
+        const std::int64_t all_fine =
+            HybridMapper(app.cdfg, p).all_fine_cycles(app.profile);
+        ASSERT_GE(all_fine, 4) << "quarter points would clamp or collapse";
+        for (const std::int64_t constraint :
+             {all_fine / 4, all_fine / 2, (3 * all_fine) / 4}) {
+          for (const StrategyKind strategy : spec.strategies) {
+            for (const KernelOrdering ordering : spec.orderings) {
+              ASSERT_LT(index, summary.cells.size());
+              const SweepCell& cell = summary.cells[index++];
+              MethodologyOptions options = spec.base;
+              options.strategy = strategy;
+              options.ordering = ordering;
+              const PartitionReport expected = run_methodology(
+                  app.cdfg, app.profile, p, constraint, options);
+              EXPECT_EQ(cell.a_fpga, area);
+              EXPECT_EQ(cell.cgcs, cgcs);
+              EXPECT_EQ(cell.constraint, constraint);
+              EXPECT_EQ(cell.strategy, strategy);
+              EXPECT_EQ(cell.ordering, ordering);
+              EXPECT_EQ(cell.report.moved, expected.moved);
+              EXPECT_EQ(cell.report.final_cycles, expected.final_cycles);
+              EXPECT_EQ(cell.report.met, expected.met);
+              EXPECT_EQ(cell.report.engine_iterations,
+                        expected.engine_iterations);
+              // Byte-identical when rendered through the same report path.
+              EXPECT_EQ(describe(cell.report, app.cdfg),
+                        describe(expected, app.cdfg));
+            }
+          }
         }
       }
     }
@@ -267,6 +300,23 @@ TEST(SweepTest, EmptyCorpusAndEmptyGridRejected) {
   SweepSpec tiny;
   tiny.strategies = {StrategyKind::kGreedyPaper};
   EXPECT_THROW(sweep_design_space(duplicated, tiny), Error);
+}
+
+TEST(SweepTest, ShardErrorsReachTheCallerAtAnyThreadCount) {
+  // A shard that throws (a negative combined-objective weight, rejected
+  // inside the engine) must surface as Error from sweep_design_space,
+  // not end the program from a worker thread.
+  SweepSpec spec;
+  spec.grid.areas = {1500, 5000};
+  spec.grid.cgc_counts = {2, 3};
+  spec.constraints = {workloads::kOfdmTimingConstraint};
+  spec.strategies = {StrategyKind::kGreedyPaper};
+  spec.base.cost.objective.cycle_weight = -1;
+  for (const int threads : {1, 4}) {
+    spec.threads = threads;
+    EXPECT_THROW(sweep_design_space(paper_corpus(), spec), Error)
+        << threads << " threads";
+  }
 }
 
 TEST(SweepTest, EnergyBudgetAxisMultipliesCells) {
@@ -421,23 +471,14 @@ TEST(SweepIoTest, JsonDeclaresSchemaVersionAndCellCountMatchesCsv) {
 
 TEST(SweepTest, TinyAppDefaultConstraintSlotsCompacted) {
   // One corpus app whose all-fine cycle count collapses the default 1/4,
-  // 1/2, 3/4 fractions to the single clamped constraint 1 (see the
-  // explorer test of the same name), swept next to OFDM whose fractions
+  // 1/2, 3/4 fractions to the single clamped constraint 1 (see
+  // ExplorerTest.TinyAppDefaultConstraintsClampAndDedupe), swept next to
+  // OFDM whose fractions
   // stay distinct: the tiny app's shards fill one constraint slot each
   // and the unused tail must be compacted away, not emitted as
   // uninitialized cells.
-  CorpusApp tiny;
-  tiny.name = "tiny";
-  tiny.cdfg = ir::Cdfg("tiny");
-  const ir::BlockId b = tiny.cdfg.add_block();
-  ir::Dfg& dfg = tiny.cdfg.block(b).dfg;
-  const ir::NodeId in = dfg.add_node(ir::OpKind::kInput);
-  const ir::NodeId sum = dfg.add_node(ir::OpKind::kAdd, {in, in});
-  dfg.add_node(ir::OpKind::kOutput, {sum});
-  tiny.cdfg.set_entry(b);
-
   std::vector<CorpusApp> corpus;
-  corpus.push_back(std::move(tiny));
+  corpus.push_back(tiny_app());
   const workloads::PaperApp ofdm = build_ofdm_model();
   corpus.push_back({"ofdm", ofdm.cdfg, ofdm.profile});
 
@@ -452,7 +493,9 @@ TEST(SweepTest, TinyAppDefaultConstraintSlotsCompacted) {
   ASSERT_EQ(summary.cells.size(), 2u * 1u + 2u * 3u);
   for (const SweepCell& cell : summary.cells) {
     EXPECT_GE(cell.constraint, 1) << summary.apps[cell.app];
-    if (cell.app == 0) EXPECT_EQ(cell.constraint, 1);
+    if (cell.app == 0) {
+      EXPECT_EQ(cell.constraint, 1);
+    }
   }
   // App-major cell order survives the compaction.
   EXPECT_EQ(summary.cells[0].app, 0u);
@@ -465,6 +508,57 @@ TEST(SweepTest, TinyAppDefaultConstraintSlotsCompacted) {
   EXPECT_EQ(static_cast<std::size_t>(
                 std::count(csv.begin(), csv.end(), '\n')),
             summary.cells.size() + 1);
+}
+
+TEST(ExplorerTest, EnergyBudgetAxisExpandsGrid) {
+  SweepSpec spec;  // 1x1 grid
+  spec.constraints = {workloads::kOfdmTimingConstraint};
+  spec.energy_budgets = {1.0e6, 7.0e5};
+  spec.strategies = {StrategyKind::kGreedyPaper};
+  spec.base.cost.objective.kind = ObjectiveKind::kEnergy;
+  const auto summary = sweep_design_space(ofdm_corpus(), spec);
+  ASSERT_EQ(summary.cells.size(), 2u);
+  EXPECT_EQ(summary.cells[0].energy_budget_pj, 1.0e6);
+  EXPECT_EQ(summary.cells[1].energy_budget_pj, 7.0e5);
+  for (const SweepCell& cell : summary.cells) {
+    EXPECT_EQ(cell.report.objective, ObjectiveKind::kEnergy);
+    EXPECT_TRUE(cell.report.met);
+    EXPECT_LE(cell.report.energy.total_pj(), cell.energy_budget_pj);
+  }
+  // The tighter budget needs strictly more kernels on the CGC.
+  EXPECT_LT(summary.cells[0].report.moved.size(),
+            summary.cells[1].report.moved.size());
+}
+
+TEST(ExplorerTest, EmptyStrategyGridRejected) {
+  SweepSpec spec;
+  spec.constraints = {1000};
+  spec.strategies.clear();
+  EXPECT_THROW(sweep_design_space(ofdm_corpus(), spec), Error);
+  spec.strategies = {StrategyKind::kGreedyPaper};
+  spec.orderings.clear();
+  EXPECT_THROW(sweep_design_space(ofdm_corpus(), spec), Error);
+}
+
+TEST(ExplorerTest, TinyAppDefaultConstraintsClampAndDedupe) {
+  // The explorer must clamp each collapsed fraction to at least one
+  // cycle and drop the duplicates instead of sweeping three unmeetable
+  // "finish in no cycles" constraints.
+  std::vector<CorpusApp> corpus;
+  corpus.push_back(tiny_app());
+  ASSERT_EQ(HybridMapper(corpus[0].cdfg, platform::make_paper_platform(1500, 2))
+                .all_fine_cycles(corpus[0].profile),
+            0);
+  SweepSpec spec;  // 1x1 grid, default constraints
+  spec.threads = 1;
+  const auto summary = sweep_design_space(corpus, spec);
+  // All three fractions collapse to the single clamped constraint 1.
+  ASSERT_EQ(summary.cells.size(),
+            spec.strategies.size() * spec.orderings.size());
+  for (const SweepCell& cell : summary.cells) {
+    EXPECT_EQ(cell.constraint, 1);
+    EXPECT_TRUE(cell.report.met);
+  }
 }
 
 }  // namespace

@@ -134,6 +134,24 @@ class ForkFaultTest : public testing::Test {
         });
   }
 
+  /// Path a wrapper shell writes its background child's pid to.
+  std::string sleeper_path() const {
+    return testing::TempDir() + "transport_sleeper_" +
+           std::to_string(::getpid());
+  }
+
+  /// Reads (and removes) the pid at `pid_path` and expects that process
+  /// gone, killing it if it is not so it cannot stall the test run.
+  static void expect_sleeper_gone(const std::string& pid_path) {
+    pid_t sleeper = 0;
+    std::ifstream(pid_path) >> sleeper;
+    std::remove(pid_path.c_str());
+    ASSERT_GT(sleeper, 0) << "the wrapper never reported its child";
+    const bool exited = process_exits(sleeper);
+    if (!exited) ::kill(sleeper, SIGKILL);
+    EXPECT_TRUE(exited) << "pid " << sleeper << " outlived its worker";
+  }
+
   SweepSummary serve_with(Transport& transport, int idle_timeout_ms = 0) {
     ServeOptions options;
     options.workers = static_cast<int>(shards_);
@@ -174,21 +192,27 @@ TEST_F(ForkFaultTest, RecoversFromIdleTimeout) {
   // child does the hanging: retiring the worker must SIGKILL its whole
   // process group, so the child does not outlive serve_design_space
   // (it would hold the test's stderr open for 30s).
-  const std::string pid_path = testing::TempDir() + "transport_sleeper_" +
-                               std::to_string(::getpid());
+  const std::string pid_path = sleeper_path();
   ForkPipeTransport transport = faulty_transport(
       0, "sleep 30 & echo $! > '" + pid_path + "'; wait");
   const SweepSummary summary = serve_with(transport, /*idle_timeout_ms=*/200);
   EXPECT_EQ(sweep_to_json(summary), expected_json_);
   EXPECT_EQ(attempts_[0], 2);
+  expect_sleeper_gone(pid_path);
+}
 
-  pid_t sleeper = 0;
-  std::ifstream(pid_path) >> sleeper;
-  std::remove(pid_path.c_str());
-  ASSERT_GT(sleeper, 0) << "the wrapper never reported its child";
-  const bool exited = process_exits(sleeper);
-  if (!exited) ::kill(sleeper, SIGKILL);
-  EXPECT_TRUE(exited) << "pid " << sleeper << " outlived its worker";
+TEST_F(ForkFaultTest, CleanExitKillsTheWorkerProcessGroup) {
+  // The worker streams its shard in full and exits 0, leaving a child
+  // running: reaping it cleanly must still kill its process group, or
+  // the child outlives serve_design_space holding the test's stderr.
+  const std::string pid_path = sleeper_path();
+  ForkPipeTransport transport = faulty_transport(
+      0, "sleep 30 >/dev/null & echo $! > '" + pid_path + "'; cat '" +
+             paths_[0] + "'");
+  const SweepSummary summary = serve_with(transport);
+  EXPECT_EQ(sweep_to_json(summary), expected_json_);
+  EXPECT_EQ(attempts_[0], 1);
+  expect_sleeper_gone(pid_path);
 }
 
 TEST_F(ForkFaultTest, FailsLoudlyWhenRetriesAreExhausted) {
